@@ -214,8 +214,17 @@ def spmd_run(
         ex.submit_root(ctx.runtime, _bind_main(main, ctx), name=f"rank{ctx.rank}-main")
         for ctx in contexts
     ]
+    # The drive predicate runs on every engine step: count the mains down
+    # as they finish instead of scanning every rank's future each time.
+    pending = [len(futures)]
+
+    def _main_done(_f) -> None:
+        pending[0] -= 1
+
+    for f in futures:
+        f.on_ready(_main_done)
     try:
-        ex.drive(lambda: all(f.satisfied for f in futures))
+        ex.drive(lambda: not pending[0])
     except DeadlockError:
         # A rank that died (its future carries the exception) strands its
         # peers at barriers/receives; surface the root cause, not the stall.

@@ -9,9 +9,9 @@ per-event overhead dominates the simulation.
 
 :class:`FlatEventQueue` replaces the heap with two pieces:
 
-**An event slab** — parallel preallocated columns (``when`` / ``seq`` /
-``kind`` / ``gen`` and the payload columns :attr:`fns` / :attr:`args`)
-indexed by an integer *slot*, recycled through a free list: the
+**An event slab** — parallel preallocated columns (``kind`` / ``gen``
+and the payload columns :attr:`fns` / :attr:`args`) indexed by an
+integer *slot*, recycled through a free list: the
 BufferPool idiom (:mod:`repro.util.bufpool`) applied to event records.
 Handles returned to callers pack ``(generation << 32) | slot``, so a
 stale handle (the slot was popped and reused) can never cancel the
@@ -23,19 +23,19 @@ wrong event.
   ``(when, seq)`` with a head cursor.  Equal-timestamp cohorts pop as
   one ``searchsorted`` + slice: no per-event Python work at all.
 - the *far tier* — unsorted parallel slot/when/seq lists absorbing O(1)
-  appends (when/seq copied at push time so the merge never gathers them
-  back out of the slab), with ``_far_min`` tracking the earliest
-  timestamp.  It is merged into the spine by **one vectorized lexsort**
-  only when the next pop would otherwise surface a later event
-  (``_far_min`` at or below the head).
-- the *near buffer* ``_cur`` — a small insertion-sorted buffer holding
-  ``(-when, -seq, slot)`` tuples (negated keys so stdlib C ``insort``
-  keeps the minimum at the *tail*).  It serves two roles: pushes that
-  land before the current head (worker clocks may lag the event floor),
-  and — when the spine and far tier are empty — the whole queue, so
-  timer-chain workloads (push one, pop one) never touch numpy at all.
-  When a timestamp exists in both the buffer and the spine, the pop
-  merges the two runs by ``seq``.
+  appends, with ``_far_min`` tracking the earliest timestamp.  It takes
+  every :meth:`push_batch` wave, and single pushes once the near heap is
+  full.  It is merged into the spine by **one vectorized lexsort** only
+  when the next pop would otherwise surface a later event (``_far_min``
+  at or below the head).
+- the *near heap* ``_cur`` — a C ``heapq`` of ``(when, seq, slot)``
+  tuples taking every single :meth:`push`.  Single pushes interleave with
+  the spine anywhere in time (per-message fabric events land among a
+  wave's deliveries), and a heap absorbs them in O(log n) instead of
+  re-merging the spine each time one surfaces.  When the spine and far
+  tier are empty it is the whole queue, so timer-chain workloads (push
+  one, pop one) never touch numpy at all.  When a timestamp exists in
+  both the heap and the spine, the pop merges the two runs by ``seq``.
 
 Storm workloads — the ISx all-to-all wave pushing thousands of fabric
 deliveries back-to-back — therefore pay one C-speed sort instead of N
@@ -68,7 +68,7 @@ release (cancel clears the callback immediately).
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,16 +92,16 @@ class FlatEventQueue:
 
     Supports the protocol ``SimExecutor`` needs from its event store:
     truthiness / ``len()`` (pending records), ``clear()``, plus
-    ``push`` / ``push_batch`` / ``pop`` / ``pop_batch`` /
-    ``release_batch`` / ``peek_when`` / ``cancel``.
+    ``push`` / ``push_batch`` / ``pop_batch`` / ``release_batch`` /
+    ``peek_when`` / ``cancel``.
     """
 
-    #: Cap on the near buffer: a burst of early pushes beyond this spills to
-    #: the far tier (one extra lexsort) instead of paying O(n) insorts.
-    CUR_LIMIT = 1024
+    #: Cap on the near heap: single pushes beyond this spill to the far tier
+    #: (merged by one lexsort) instead of growing the heap without bound.
+    CUR_LIMIT = 1 << 16
 
     __slots__ = (
-        "_when", "_seq_arr", "_kind", "_gen", "fns", "args",
+        "_kind", "_gen", "fns", "args",
         "_free", "_next_slot", "_cap",
         "_next_seq", "_n_records",
         "_cur", "_far", "_far_w", "_far_q", "_far_min",
@@ -116,8 +116,6 @@ class FlatEventQueue:
         # numpy arrays — scalar stores/loads are the access pattern here,
         # and list indexing beats numpy scalar indexing; the numpy view is
         # materialized only at sort time.
-        self._when: List[float] = [0.0] * cap
-        self._seq_arr: List[int] = [0] * cap
         self._kind: List[int] = [_K_FREE] * cap
         self._gen: List[int] = [0] * cap
         #: Slab payload columns, indexed by the slots pop_batch returns.
@@ -130,13 +128,11 @@ class FlatEventQueue:
         self._next_seq = 0
         self._n_records = 0
 
-        # Calendar tiers: near buffer of (-when, -seq, slot) tuples sorted
-        # ascending (minimum at the tail), far tier (unsorted slots), and
-        # the sorted numpy spine with its head cursor.
+        # Calendar tiers: near heap of (when, seq, slot) tuples, far tier
+        # (unsorted slots), and the sorted numpy spine with its head cursor.
         self._cur: List[Tuple[float, int, int]] = []
-        # Far tier: parallel slot/when/seq lists.  when/seq are copied here
-        # at push time (C-level extends) so _rebuild never has to gather
-        # them back out of the slab with a per-slot Python loop.
+        # Far tier: parallel slot/when/seq lists.  A record's when/seq live
+        # only here (or in its heap tuple / spine row), never in the slab.
         self._far: List[int] = []
         self._far_w: List[float] = []
         self._far_q: List[int] = []
@@ -168,8 +164,6 @@ class FlatEventQueue:
         while cap < need:
             cap *= 2
         extra = cap - self._cap
-        self._when.extend([0.0] * extra)
-        self._seq_arr.extend([0] * extra)
         self._kind.extend([_K_FREE] * extra)
         self._gen.extend([0] * extra)
         self.fns.extend([None] * extra)
@@ -206,41 +200,15 @@ class FlatEventQueue:
             self._next_slot = slot + 1
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._when[slot] = when
-        self._seq_arr[slot] = seq
         self._kind[slot] = _K_CB
         self.fns[slot] = fn
         self.args[slot] = arg
         self._n_records += 1
 
         cur = self._cur
-        if self._head >= self._n_sp and not self._far:
-            # Whole queue lives in the near buffer: timer-chain mode (push
-            # one, pop one) — a classic insertion-sorted timer list, no
-            # numpy anywhere on the path.
-            if len(cur) < self.CUR_LIMIT:
-                insort(cur, (-when, -seq, slot))
-                return (self._gen[slot] << 32) | slot
-        else:
-            # Strictly before the next pop candidate: buffer it so the
-            # push does not force a far-tier merge.  (Ties go to the far
-            # tier — this seq is the global maximum, so the pop-side merge
-            # preserves cohort order either way.)
-            if self._head < self._n_sp:
-                sh = self._sw[self._head]
-                if cur:
-                    cw = -cur[-1][0]
-                    cand = cw if cw < sh else sh
-                else:
-                    cand = sh
-            else:
-                cand = -cur[-1][0] if cur else _INF
-            fm = self._far_min
-            if fm < cand:
-                cand = fm
-            if when < cand and len(cur) < self.CUR_LIMIT:
-                insort(cur, (-when, -seq, slot))
-                return (self._gen[slot] << 32) | slot
+        if len(cur) < self.CUR_LIMIT:
+            heappush(cur, (when, seq, slot))
+            return (self._gen[slot] << 32) | slot
         self._far.append(slot)
         self._far_w.append(when)
         self._far_q.append(seq)
@@ -285,8 +253,6 @@ class FlatEventQueue:
                 self._grow(end)
             self._next_slot = end
             slots: Sequence[int] = range(base, end)
-            self._when[base:end] = whens
-            self._seq_arr[base:end] = seqs
             self._kind[base:end] = [_K_CB] * n
             self.fns[base:end] = [fn] * n
             self.args[base:end] = args
@@ -309,8 +275,6 @@ class FlatEventQueue:
                     s0 = int(arr[0])
                     s1 = s0 + n
                     gen_l[s0:s1] = [g + 1 for g in gen_l[s0:s1]]
-                    self._when[s0:s1] = whens
-                    self._seq_arr[s0:s1] = seqs
                     self._kind[s0:s1] = [_K_CB] * n
                     self.fns[s0:s1] = [fn] * n
                     self.args[s0:s1] = args
@@ -322,11 +286,8 @@ class FlatEventQueue:
             else:
                 slots = [self._alloc() for _ in range(n)]
             if slots is not None:
-                when_l, seq_l, kind_l = self._when, self._seq_arr, self._kind
-                fn_l, arg_l = self.fns, self.args
-                for slot, w, s, a in zip(slots, whens, seqs, args):
-                    when_l[slot] = w
-                    seq_l[slot] = s
+                kind_l, fn_l, arg_l = self._kind, self.fns, self.args
+                for slot, a in zip(slots, args):
                     kind_l[slot] = _K_CB
                     fn_l[slot] = fn
                     arg_l[slot] = a
@@ -393,9 +354,9 @@ class FlatEventQueue:
         cur = self._cur
         if self._head < self._n_sp:
             sh = float(self._sw[self._head])
-            cand = -cur[-1][0] if cur and -cur[-1][0] < sh else sh
+            cand = cur[0][0] if cur and cur[0][0] < sh else sh
         elif cur:
-            cand = -cur[-1][0]
+            cand = cur[0][0]
         else:
             cand = _INF
         fm = self._far_min
@@ -406,49 +367,6 @@ class FlatEventQueue:
         if not self._n_records:
             return None
         return self._candidate()
-
-    def pop(self) -> Tuple[float, Optional[Callable], Any]:
-        """Pop the minimum record; returns ``(when, fn, arg)``.  ``fn`` is
-        None if the record was cancelled (mirroring the heap engine, which
-        also surfaces blanked entries to its consumer)."""
-        if not self._n_records:
-            raise IndexError("pop from an empty FlatEventQueue")
-        cur = self._cur
-        head = self._head
-        if self._far:
-            cand = float(self._sw[head]) if head < self._n_sp else _INF
-            if cur and -cur[-1][0] < cand:
-                cand = -cur[-1][0]
-            if self._far_min <= cand:
-                self._rebuild()
-                head = 0
-        sw = self._sw
-        sp_ok = head < self._n_sp
-        take_cur = False
-        if cur:
-            if not sp_ok:
-                take_cur = True
-            else:
-                cw = -cur[-1][0]
-                sh = sw[head]
-                if cw < sh or (cw == sh and -cur[-1][1] < self._sq[head]):
-                    take_cur = True
-        if take_cur:
-            nw, _ns, slot = cur.pop()
-            when = -nw
-        else:
-            when = float(sw[head])
-            slot = int(self._ss[head])
-            self._head = head + 1
-        fn_l, arg_l = self.fns, self.args
-        fn = fn_l[slot]
-        arg = arg_l[slot]
-        self._kind[slot] = _K_FREE
-        fn_l[slot] = None
-        arg_l[slot] = None
-        self._free.append(slot)
-        self._n_records -= 1
-        return when, fn, arg
 
     def pop_batch(self) -> Tuple[float, List[int]]:
         """Pop *all* records sharing the minimum timestamp, in seq (FIFO)
@@ -464,17 +382,17 @@ class FlatEventQueue:
         head = self._head
         if self._far:
             cand = float(self._sw[head]) if head < self._n_sp else _INF
-            if cur and -cur[-1][0] < cand:
-                cand = -cur[-1][0]
+            if cur and cur[0][0] < cand:
+                cand = cur[0][0]
             if self._far_min <= cand:
                 self._rebuild()
                 head = 0
         sw = self._sw
         n_sp = self._n_sp
         sp_ok = head < n_sp
-        if sp_ok and (not cur or sw[head] <= -cur[-1][0]):
+        if sp_ok and (not cur or sw[head] <= cur[0][0]):
             t0 = float(sw[head])
-            if cur and -cur[-1][0] == t0:
+            if cur and cur[0][0] == t0:
                 return t0, self._pop_merge(t0)
             # Pure spine cohort: one C-level searchsorted + slice, no
             # per-event Python work at all.
@@ -483,7 +401,7 @@ class FlatEventQueue:
                 slots: Sequence[int] = [int(self._ss[head])]
                 self._head = nxt
             else:
-                end = int(np.searchsorted(sw, t0, side="right"))
+                end = int(sw.searchsorted(t0, side="right"))
                 seg = self._ss[head:end]
                 s0 = int(seg[0])
                 if (int(seg[-1]) - s0 == end - head - 1
@@ -499,19 +417,18 @@ class FlatEventQueue:
             self._n_records -= len(slots)
             return t0, slots
         if cur:
-            nw0 = cur[-1][0]
-            t0 = -nw0
+            t0 = cur[0][0]
             if sp_ok and sw[head] == t0:
                 return t0, self._pop_merge(t0)
             out: List[int] = []
-            while cur and cur[-1][0] == nw0:
-                out.append(cur.pop()[2])
+            while cur and cur[0][0] == t0:
+                out.append(heappop(cur)[2])
             self._n_records -= len(out)
             return t0, out
         raise IndexError("pop from an empty FlatEventQueue")  # pragma: no cover
 
     def _pop_merge(self, t0: float) -> List[int]:
-        """Drain the ``t0`` cohort from both the near buffer and the spine,
+        """Drain the ``t0`` cohort from both the near heap and the spine,
         interleaved by seq (both sources are seq-sorted within a timestamp)."""
         cur = self._cur
         sw, sq, ss = self._sw, self._sq, self._ss
@@ -519,11 +436,11 @@ class FlatEventQueue:
         n_sp = self._n_sp
         out: List[int] = []
         while True:
-            cur_ok = bool(cur) and -cur[-1][0] == t0
+            cur_ok = bool(cur) and cur[0][0] == t0
             sp_ok = head < n_sp and sw[head] == t0
             if cur_ok and sp_ok:
-                if -cur[-1][1] < sq[head]:
-                    out.append(cur.pop()[2])
+                if cur[0][1] < sq[head]:
+                    out.append(heappop(cur)[2])
                 else:
                     out.append(int(ss[head]))
                     head += 1
@@ -531,7 +448,7 @@ class FlatEventQueue:
                 out.append(int(ss[head]))
                 head += 1
             elif cur_ok:
-                out.append(cur.pop()[2])
+                out.append(heappop(cur)[2])
             else:
                 break
         self._head = head

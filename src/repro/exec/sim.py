@@ -290,10 +290,14 @@ class SimExecutor(Executor):
         heapq.heappush(self._events, [self.now() + delay, seq, fn])
         return seq
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> int:
-        """Schedule at an absolute virtual time (used by the network fabric);
-        returns a handle for :meth:`cancel_event`. Rejects NaN timestamps
-        (silent heap-order corruption, as in :meth:`call_later`).
+    def call_at(self, when: float, fn: Callable[..., None],
+                arg: Any = None) -> int:
+        """Schedule ``fn()`` — or ``fn(arg)`` when ``arg`` is not None — at an
+        absolute virtual time (used by the network fabric); returns a handle
+        for :meth:`cancel_event`. Rejects NaN timestamps (silent heap-order
+        corruption, as in :meth:`call_later`). Passing ``arg`` lets a
+        per-message caller post a shared function plus one record instead
+        of allocating a closure per event.
 
         Clamped to the event floor, not zero: the floor only moves forward,
         and an event stamped in the virtual past would sort "before" events
@@ -303,7 +307,8 @@ class SimExecutor(Executor):
         seq = next(self._event_seq)
         heapq.heappush(
             self._events,
-            [when if when > self._event_floor else self._event_floor, seq, fn],
+            [when if when > self._event_floor else self._event_floor, seq,
+             fn if arg is None else functools.partial(fn, arg)],
         )
         return seq
 
@@ -345,11 +350,14 @@ class SimExecutor(Executor):
                 f"call_later delay must be a non-negative number, got {delay}")
         return self._events.push(self.now() + delay, fn)
 
-    def _call_at_flat(self, when: float, fn: Callable[[], None]) -> int:
+    def _call_at_flat(self, when: float, fn: Callable[..., None],
+                      arg: Any = None) -> int:
         if when != when:
             raise ConfigError(f"call_at timestamp must not be NaN, got {when}")
+        # The slab's argument column carries ``arg``; dispatch calls
+        # ``fn(arg)`` for a non-None argument, ``fn()`` otherwise.
         return self._events.push(
-            when if when > self._event_floor else self._event_floor, fn)
+            when if when > self._event_floor else self._event_floor, fn, arg)
 
     def _call_at_batch_flat(self, whens, fn, args) -> None:
         # Clamp to the event floor only when some timestamp is below it:

@@ -50,8 +50,10 @@ class CorruptedPayload:
 
 
 def _deliver_wave(item: tuple) -> None:
-    """Delivery trampoline for :meth:`SimFabric.transmit_wave` — one shared
-    function for the whole wave instead of one closure per message."""
+    """Delivery trampoline: every delivery event the fabric posts —
+    per-message (:meth:`SimFabric.transmit`) or wave
+    (:meth:`SimFabric.transmit_wave`) — is this one shared function plus a
+    ``(sink, src, payload, delivery)`` record, not a closure per message."""
     sink, src, payload, delivery = item
     sink(src, payload, delivery)
 
@@ -150,8 +152,10 @@ class SimFabric:
         Must be called from a context where ``executor.now()`` is meaningful
         (a task on the src rank, or an event callback).
         """
-        self._check_rank(src)
-        self._check_rank(dst)
+        nranks = self.nranks
+        if not (0 <= src < nranks and 0 <= dst < nranks):
+            self._check_rank(src)
+            self._check_rank(dst)
         if nbytes < 0:
             raise CommError(f"negative message size {nbytes}")
         if self.max_message_bytes is not None and nbytes > self.max_message_bytes:
@@ -161,26 +165,33 @@ class SimFabric:
         hook = self.fault_hook
         verdict = hook(src, dst, nbytes, payload) if hook is not None else None
         self.last_fault = verdict
-        net = self.network
-        t = self.executor.now()
-        s_node, d_node = src // self.ranks_per_node, dst // self.ranks_per_node
+        executor = self.executor
+        t = executor.now()
+        rpn = self.ranks_per_node
+        s_node, d_node = src // rpn, dst // rpn
 
+        # The NIC and pairwise-FIFO recurrences below are written exactly
+        # as transmit_wave writes them, so both paths produce the same
+        # floats.
         if src == dst:
             inject_done = t
             delivery = t  # self-sends complete immediately (local copy)
         elif s_node == d_node:
-            inject_done = t + net.intra_node_time(nbytes)
+            inject_done = t + self.network.intra_node_time(nbytes)
             delivery = inject_done
         else:
+            net = self.network
             ser = net.serialization_time(nbytes)
-            tx_start = max(t, self._tx_avail[s_node])
-            self._tx_avail[s_node] = tx_start + ser
-            inject_done = tx_start + ser
+            tx_avail = self._tx_avail
+            avail = tx_avail[s_node]
+            tx_start = avail if avail > t else t
+            tx_avail[s_node] = inject_done = tx_start + ser
             arrival = (inject_done + net.latency
                        + self.topology.extra_latency(s_node, d_node))
-            rx_start = max(arrival, self._rx_avail[d_node])
-            self._rx_avail[d_node] = rx_start + ser
-            delivery = rx_start + ser
+            rx_avail = self._rx_avail
+            avail = rx_avail[d_node]
+            rx_start = avail if avail > arrival else arrival
+            rx_avail[d_node] = delivery = rx_start + ser
 
         kind = verdict[0] if verdict is not None else None
         if kind == "delay":
@@ -200,7 +211,7 @@ class SimFabric:
             )
 
         if on_injected is not None:
-            self.executor.call_at(inject_done, lambda: on_injected(inject_done))
+            executor.call_at(inject_done, on_injected, inject_done)
 
         if kind == "drop":
             # Lost in flight: injection completed (the source buffer is
@@ -210,12 +221,14 @@ class SimFabric:
             return inject_done
 
         # Pairwise FIFO: never deliver before an earlier message on the pair.
-        key = src * self.nranks + dst
-        prev = self._pair_last.get(key, 0.0)
-        delivery = max(delivery, prev)
-        self._pair_last[key] = delivery
+        key = src * nranks + dst
+        pair_last = self._pair_last
+        prev = pair_last.get(key, 0.0)
+        if prev > delivery:
+            delivery = prev
+        pair_last[key] = delivery
 
-        tracer = self.executor.tracer
+        tracer = executor.tracer
         if tracer is not None:
             # Payloads from a FabricMux arrive as (channel, inner); the
             # channel doubles as the owning module's name in the trace.
@@ -230,7 +243,7 @@ class SimFabric:
         if kind == "corrupt":
             self.messages_corrupted += 1
             payload = CorruptedPayload(payload)
-        self.executor.call_at(delivery, lambda: sink(src, payload, delivery))
+        executor.call_at(delivery, _deliver_wave, (sink, src, payload, delivery))
         return inject_done
 
     # ------------------------------------------------------------------

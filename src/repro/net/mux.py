@@ -148,9 +148,7 @@ class FabricMux:
                 f"rank {self.rank} sending on unregistered channel {channel!r}"
             )
         if self.stats is not None:
-            self.stats.count(channel, "msgs_sent")
-            self.stats.count(channel, "bytes_sent", nbytes)
-            self.stats.observe(channel, "msg_size", nbytes)
+            self.stats.message_sent(channel, nbytes)
         co = self._coalescers.get(channel)
         if co is not None:
             # Buffered: the envelope transmits at a flush point, but local
@@ -158,8 +156,14 @@ class FabricMux:
             # snapshotted the payload, so its buffer is already reusable.
             co.send(dst, payload, nbytes, on_injected)
             return self.fabric.executor.now()
-        return self._transmit_attempt(dst, channel, payload, nbytes,
-                                      on_injected, 0)
+        if channel in self._retry:
+            return self._transmit_attempt(dst, channel, payload, nbytes,
+                                          on_injected, 0)
+        # No retry policy: a fault verdict would only be read and ignored,
+        # so the send goes straight to the fabric (the same single call the
+        # attempt wrapper makes on its first try).
+        return self.fabric.transmit(self.rank, dst, nbytes, (channel, payload),
+                                    on_injected=on_injected)
 
     def wave_capable(self, channel: str) -> bool:
         """True when sends on ``channel`` can use :meth:`transmit_wave`:

@@ -114,7 +114,7 @@ class ShardFabric(SimFabric):
         self._outboxes.setdefault(dshard, []).append(
             (arrival, src, seq, dst, nbytes, payload))
         if on_injected is not None:
-            self.executor.call_at(inject_done, lambda: on_injected(inject_done))
+            self.executor.call_at(inject_done, on_injected, inject_done)
         return inject_done
 
     # ------------------------------------------------------------------
@@ -195,7 +195,8 @@ class ShardFabric(SimFabric):
                 else "net"
             )
             tracer.record_message(src, dst, channel, nbytes, t, delivery)
-        self.executor.call_at(delivery, lambda: sink(src, payload, delivery))
+        self.executor.call_at(delivery, _deliver_wave,
+                              (sink, src, payload, delivery))
         return inject_done
 
     # ------------------------------------------------------------------

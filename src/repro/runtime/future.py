@@ -50,6 +50,13 @@ class Promise:
         """Satisfy the promise. A second put raises :class:`PromiseError`."""
         self._resolve(value, None)
 
+    def signal(self, _time: float = 0.0) -> None:
+        """Satisfy with ``None`` (a completion signal). Takes and ignores a
+        completion time so the bound method can be a fabric ``on_injected``
+        callback directly, with no wrapping closure per message; the
+        satisfaction is stamped with the executor's clock as usual."""
+        self._resolve(None, None)
+
     def put_exception(self, exc: BaseException) -> None:
         """Satisfy the promise with a failure; consumers re-raise on ``get``."""
         if not isinstance(exc, BaseException):

@@ -31,9 +31,10 @@ import numpy as np
 from repro.net.coalesce import CoalescePolicy
 from repro.net.mux import FabricMux
 from repro.runtime.context import current_context
+from repro.runtime.deques import NullLock
 from repro.runtime.future import Future, Promise
 from repro.shmem.heap import SymArray, SymmetricHeap
-from repro.util.bufpool import BufferPool, release_if_pooled
+from repro.util.bufpool import BufferPool, PooledArray
 from repro.util.errors import ShmemError
 
 _CHANNEL = "shmem"
@@ -87,6 +88,9 @@ class ShmemBackend:
         # (NullLock) while the threaded/multiprocess engines get real mutual
         # exclusion. Promises are always fired OUTSIDE the lock.
         self._lock = mux.fabric.executor.lock_class()
+        #: The sim engine's NullLock excludes nothing, so the per-message
+        #: paths (put issue, remote completion, delivery) skip it outright.
+        self._lock_free = type(self._lock) is NullLock
         self.puts = 0
         self.gets = 0
         self.amos = 0
@@ -139,17 +143,18 @@ class ShmemBackend:
         self._check_bounds(target, offset, data.size, pe)
         self.puts += 1
         self._count("puts")
-        with self._lock:
+        if self._lock_free:
             self._outstanding += 1
+        else:
+            with self._lock:
+                self._outstanding += 1
         done = Promise(name="shmem-put")
         wire_data = self.pool.take_copy(data) if copy else data
         payload = ("put", target.sym_id, offset, wire_data, self.rank)
         self._charge_cpu()
         wire = int(data.nbytes) if nbytes is None else int(nbytes)
-        self.mux.transmit(
-            pe, _CHANNEL, payload, wire + _CTRL_SIZE,
-            on_injected=lambda t: done.put(None),
-        )
+        self.mux.transmit(pe, _CHANNEL, payload, wire + _CTRL_SIZE,
+                          on_injected=done.signal)
         return done.get_future()
 
     # ------------------------------------------------------------------
@@ -204,10 +209,8 @@ class ShmemBackend:
                 self._outstanding += 1
             payload = ("amo", op, target.sym_id, index, operand, cond,
                        self.rank, None)
-            self.mux.transmit(
-                pe, _CHANNEL, payload, _AMO_SIZE,
-                on_injected=lambda t: done.put(None),
-            )
+            self.mux.transmit(pe, _CHANNEL, payload, _AMO_SIZE,
+                              on_injected=done.signal)
         return done.get_future()
 
     def wave_capable(self) -> bool:
@@ -343,15 +346,23 @@ class ShmemBackend:
     # delivery
     # ------------------------------------------------------------------
     def _on_delivery(self, src: int, payload: Tuple, time: float) -> None:
+        # Hot kinds first: a put, and the reply that ends every fetching
+        # round trip (get, fetching AMO).
         kind = payload[0]
         if kind == "put":
             _, sym_id, offset, data, origin = payload
             arr = self.heap.flat(sym_id)
             arr[offset : offset + data.size] = (
                 data if data.ndim == 1 else data.reshape(-1))
-            release_if_pooled(data)  # applied; recycle the snapshot storage
+            if type(data) is PooledArray:
+                data.release()  # applied; recycle the snapshot storage
             self._ack_completion(origin)
-            self._check_watchers(sym_id)
+            if self._watchers or not self._lock_free:
+                self._check_watchers(sym_id)
+        elif kind == "resp":
+            _, req_id, value = payload
+            promise = self._pending_resp.pop(req_id)
+            promise.put(value)
         elif kind == "get":
             _, sym_id, offset, n, origin, req_id = payload
             arr = self.heap.flat(sym_id)
@@ -377,11 +388,8 @@ class ShmemBackend:
                 self.mux.transmit(origin, _CHANNEL, ("resp", req_id, old), _AMO_SIZE)
             else:
                 self._ack_completion(origin)
-            self._check_watchers(sym_id)
-        elif kind == "resp":
-            _, req_id, value = payload
-            promise = self._pending_resp.pop(req_id)
-            promise.put(value)
+            if self._watchers or not self._lock_free:
+                self._check_watchers(sym_id)
         elif kind == "comp":
             # Remote-completion acknowledgement from a target PE (real
             # multiprocess fabric; see ProcShmemBackend._ack_completion).
@@ -399,10 +407,16 @@ class ShmemBackend:
         self._peers[origin]._remote_completed()
 
     def _remote_completed(self) -> None:
-        fire: List[Promise] = []
-        with self._lock:
+        if self._lock_free:
             self._outstanding -= 1
-            if self._outstanding == 0 and self._quiet_waiters:
+            if self._outstanding or not self._quiet_waiters:
+                return
+            fire, self._quiet_waiters = self._quiet_waiters, []
+        else:
+            with self._lock:
+                self._outstanding -= 1
+                if self._outstanding or not self._quiet_waiters:
+                    return
                 fire, self._quiet_waiters = self._quiet_waiters, []
         for p in fire:
             p.put(None)

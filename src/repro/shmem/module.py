@@ -131,17 +131,19 @@ class ShmemModule(HiperModule):
     # ------------------------------------------------------------------
     # taskify plumbing (shared with the MPI module's pattern)
     # ------------------------------------------------------------------
-    def _comm_task(self, op_factory: Callable[[], Future], what: str) -> Future:
-        """Run ``op_factory`` at the Interconnect place; the returned future
-        tracks the operation's completion. ``direct`` mode issues inline."""
+    def _comm_task(self, what: str, op: Callable[..., Future], *args,
+                   **kwargs) -> Future:
+        """Run ``op(*args, **kwargs)`` at the Interconnect place; the returned
+        future tracks the operation's completion. ``direct`` mode issues
+        inline, with no per-operation closure or task."""
         rt = self.runtime
         assert rt is not None
         rt.stats.count(self.name, what)
         if self.direct:
-            return op_factory()
+            return op(*args, **kwargs)
 
         def _gen():
-            result = yield op_factory()
+            result = yield op(*args, **kwargs)
             return result
 
         fut = rt.spawn(
@@ -168,10 +170,8 @@ class ShmemModule(HiperModule):
         """
         b = self._backend()
         data = b.snapshot(data)
-        return self._comm_task(
-            lambda: b.put(target, data, pe, offset, nbytes=nbytes, copy=False),
-            "put",
-        )
+        return self._comm_task("put", b.put, target, data, pe, offset,
+                               nbytes=nbytes, copy=False)
 
     def put(self, target: SymArray, data: Any, pe: int, offset: int = 0,
             *, nbytes: Optional[int] = None) -> None:
@@ -180,7 +180,7 @@ class ShmemModule(HiperModule):
     def get_async(self, source: SymArray, pe: int, offset: int = 0,
                   count: Optional[int] = None) -> Future:
         b = self._backend()
-        return self._comm_task(lambda: b.get(source, pe, offset, count), "get")
+        return self._comm_task("get", b.get, source, pe, offset, count)
 
     def get(self, source: SymArray, pe: int, offset: int = 0,
             count: Optional[int] = None) -> np.ndarray:
@@ -196,9 +196,8 @@ class ShmemModule(HiperModule):
     def atomic_fetch_add_async(self, target: SymArray, value: Any, pe: int,
                                index: int = 0) -> Future:
         b = self._backend()
-        return self._comm_task(
-            lambda: b.amo("add", target, index, pe, operand=value), "fadd"
-        )
+        return self._comm_task("fadd", b.amo, "add", target, index, pe,
+                               operand=value)
 
     def atomic_fetch_add_wave(self, target: SymArray, values: Sequence[Any],
                               pes: Sequence[int], index: int = 0) -> List[Future]:
@@ -224,16 +223,14 @@ class ShmemModule(HiperModule):
     def atomic_fetch_inc_async(self, target: SymArray, pe: int,
                                index: int = 0) -> Future:
         b = self._backend()
-        return self._comm_task(lambda: b.amo("inc", target, index, pe), "finc")
+        return self._comm_task("finc", b.amo, "inc", target, index, pe)
 
     def atomic_add_async(self, target: SymArray, value: Any, pe: int,
                          index: int = 0) -> Future:
         """Non-fetching add: local completion only, remote visible by quiet."""
         b = self._backend()
-        return self._comm_task(
-            lambda: b.amo("add", target, index, pe, operand=value, fetch=False),
-            "add",
-        )
+        return self._comm_task("add", b.amo, "add", target, index, pe,
+                               operand=value, fetch=False)
 
     def atomic_compare_swap(self, target: SymArray, cond: Any, value: Any,
                             pe: int, index: int = 0) -> Any:
@@ -242,24 +239,21 @@ class ShmemModule(HiperModule):
     def atomic_compare_swap_async(self, target: SymArray, cond: Any, value: Any,
                                   pe: int, index: int = 0) -> Future:
         b = self._backend()
-        return self._comm_task(
-            lambda: b.amo("cswap", target, index, pe, operand=value, cond=cond),
-            "cswap",
-        )
+        return self._comm_task("cswap", b.amo, "cswap", target, index, pe,
+                               operand=value, cond=cond)
 
     def atomic_swap_async(self, target: SymArray, value: Any, pe: int,
                           index: int = 0) -> Future:
         b = self._backend()
-        return self._comm_task(
-            lambda: b.amo("swap", target, index, pe, operand=value), "swap"
-        )
+        return self._comm_task("swap", b.amo, "swap", target, index, pe,
+                               operand=value)
 
     # ------------------------------------------------------------------
     # ordering & synchronization
     # ------------------------------------------------------------------
     def quiet_async(self) -> Future:
         b = self._backend()
-        return self._comm_task(lambda: b.quiet(), "quiet")
+        return self._comm_task("quiet", b.quiet)
 
     def quiet(self) -> None:
         self.quiet_async().wait()

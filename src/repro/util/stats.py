@@ -134,6 +134,16 @@ class RuntimeStats:
         if self.config.enabled:
             self.histograms[(module, name)].add(value)
 
+    def message_sent(self, module: str, nbytes: int) -> None:
+        """One message of ``nbytes`` sent by ``module``: the ``msgs_sent``
+        and ``bytes_sent`` counters plus the ``msg_size`` histogram, in one
+        call on the per-message send path."""
+        if self.config.enabled:
+            counters = self.counters
+            counters[(module, "msgs_sent")] += 1
+            counters[(module, "bytes_sent")] += nbytes
+            self.histograms[(module, "msg_size")].add(nbytes)
+
     def sample(self, name: str, t: float, value: float) -> None:
         """Append one time-series sample (used by :class:`TelemetrySampler`)."""
         if self.config.enabled:

@@ -10,14 +10,19 @@ to change a single scheduling decision. Four families of checks pin that:
 2. **Pop-order equivalence** — hypothesis drives random interleavings of
    ``call_later``/``call_at``/``cancel_event``/advance (including rearming
    callbacks that push mid-dispatch) against both engines and requires the
-   identical fire log, cancel verdicts, and final quiescence.
+   identical fire log, cancel verdicts, and final quiescence — with
+   ``call_at`` posting closures or the fabric's closure-free
+   ``call_at(when, fn, arg)`` form alike. The bare ``FlatEventQueue`` is
+   also driven against a reference heap, so every calendar tier (near
+   heap, far tier, spine) is checked directly.
 3. **Wave bit-identity** — ``SimFabric.transmit_wave`` must leave the exact
    floats a loop of ``transmit`` leaves: delivery times, NIC availability,
    pairwise-FIFO clamps, byte counters, injection-complete returns.
 4. **End-to-end** — the real ISx exchange with waves active equals the
    forced per-message fallback and the flat engine bit-for-bit
    (:func:`repro.verify.isx_engine_differential` is the same gate at CI
-   scale).
+   scale), and the mux's direct-to-fabric send equals its retry-wrapper
+   route, statistics included.
 """
 
 import hashlib
@@ -81,24 +86,28 @@ class TestSchedulingValidation:
 # ----------------------------------------------------------------------
 # 2. cross-engine pop-order equivalence
 # ----------------------------------------------------------------------
-def _drive(engine, ops):
+def _drive(engine, ops, arg_form=False):
     """Apply one op sequence to a fresh executor; return every observable
     that describes the schedule: the fire log (label, virtual time) in
-    dispatch order, each cancel's verdict, and the drained event count."""
+    dispatch order, each cancel's verdict, and the drained event count.
+    ``arg_form`` posts the ``at`` ops as ``call_at(when, fire, (label, k))``
+    — one shared function plus an argument — instead of a closure each."""
     ex = SimExecutor(engine=engine)
     log = []
     handles = []
     labels = iter(range(1 << 20))
 
+    def fire(item):
+        label, k = item
+        log.append((label, ex.now()))
+        # Rearm every third event: pushes arriving *mid-dispatch* are the
+        # flat engine's trickiest case (in-flight cohort slots must not be
+        # recycled under the dispatcher).
+        if label % 3 == 0 and label < 3_000:
+            handles.append(ex.call_later(k * 1e-6, make_cb(next(labels), k)))
+
     def make_cb(label, k):
-        def cb():
-            log.append((label, ex.now()))
-            # Rearm every third event: pushes arriving *mid-dispatch* are
-            # the flat engine's trickiest case (in-flight cohort slots must
-            # not be recycled under the dispatcher).
-            if label % 3 == 0 and label < 3_000:
-                handles.append(ex.call_later(k * 1e-6, make_cb(next(labels), k)))
-        return cb
+        return lambda: fire((label, k))
 
     cancels = []
     for kind, k, j in ops:
@@ -107,7 +116,11 @@ def _drive(engine, ops):
         elif kind == "at":
             # Deliberately allowed to land at/below the event floor once
             # advances interleave — the clamp must behave identically.
-            handles.append(ex.call_at(k * 1e-6, make_cb(next(labels), k)))
+            label = next(labels)
+            if arg_form:
+                handles.append(ex.call_at(k * 1e-6, fire, (label, k)))
+            else:
+                handles.append(ex.call_at(k * 1e-6, make_cb(label, k)))
         elif kind == "cancel":
             if handles:
                 cancels.append(ex.cancel_event(handles[j % len(handles)]))
@@ -135,7 +148,12 @@ class TestEngineEquivalence:
     @_settings
     @given(ops=_ops_strategy)
     def test_random_interleavings_pop_identically(self, ops):
-        assert _drive("flat", ops) == _drive("objects", ops)
+        expected = _drive("objects", ops)
+        assert _drive("flat", ops) == expected
+        # The closure-free call_at(when, fn, arg) form pops exactly like
+        # the closure form, on both engines.
+        assert _drive("objects", ops, arg_form=True) == expected
+        assert _drive("flat", ops, arg_form=True) == expected
 
     def test_batch_matches_per_event_calls(self):
         """``call_at_batch`` (the wave entry point) must dispatch in the
@@ -179,6 +197,84 @@ class TestEngineEquivalence:
         assert ex.cancel_event(h) is False
         ex.drain()
         assert ran == [True]
+
+
+def _queue_pops(ops, cur_limit=None):
+    """Apply one op sequence to a bare :class:`FlatEventQueue` and to a
+    reference heap of ``(when, seq, label)``; return both pop logs (cohort
+    timestamp, live labels in order). Batches of up to a few hundred events
+    build a long spine that single pushes interleave with; ``cur_limit``
+    shrinks the near heap so single pushes also spill to the far tier."""
+    import heapq
+
+    from repro.exec.eventq import FlatEventQueue
+
+    class Queue(FlatEventQueue):
+        __slots__ = ()
+        CUR_LIMIT = cur_limit or FlatEventQueue.CUR_LIMIT
+
+    q = Queue()
+    ref = []
+    handles = []
+    cancelled = set()
+    got, want = [], []
+    floor = 0.0
+    label = 0
+    for kind, a, b in ops:
+        if kind == "push":
+            # Mostly at or after the floor; a = 0 lands a tick before it
+            # (worker clocks may lag the event floor).
+            when = floor + (a - 1) * 1e-6
+            handles.append((q.push(when, _queue_pops, label), label))
+            heapq.heappush(ref, (when, label, label))
+            label += 1
+        elif kind == "batch":
+            whens = [floor + ((a + 7 * i) % 23) * 1e-6 for i in range(b)]
+            labels = list(range(label, label + b))
+            q.push_batch(whens, _queue_pops, labels)
+            for w, lab in zip(whens, labels):
+                heapq.heappush(ref, (w, lab, lab))
+            label += b
+        elif kind == "cancel":
+            if handles:
+                h, lab = handles[b % len(handles)]
+                if q.cancel(h):
+                    cancelled.add(lab)
+        elif q:
+            t0, slots = q.pop_batch()
+            got.append((t0, [q.args[s] for s in slots
+                             if q.fns[s] is not None]))
+            q.release_batch(slots)
+            w0 = ref[0][0]
+            cohort = []
+            while ref and ref[0][0] == w0:
+                lab = heapq.heappop(ref)[2]
+                if lab not in cancelled:
+                    cohort.append(lab)
+            want.append((w0, cohort))
+            floor = max(floor, t0)
+    return got, want
+
+
+_queue_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["push", "push", "batch", "cancel", "pop", "pop",
+                         "pop"]),
+        st.integers(0, 30),
+        st.integers(0, 300),
+    ),
+    max_size=200,
+)
+
+
+class TestFlatQueue:
+    @_settings
+    @given(ops=_queue_ops, cur_limit=st.sampled_from([None, 3]))
+    def test_pops_match_reference_heap(self, ops, cur_limit):
+        """Cohorts pop in ascending ``(when, seq)`` order whatever tier a
+        record sits in — near heap, far tier or spine."""
+        got, want = _queue_pops(ops + [("pop", 0, 0)] * 400, cur_limit)
+        assert got == want
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +334,7 @@ class TestWaveBitIdentity:
 # ----------------------------------------------------------------------
 # 4. end-to-end: ISx exchange, wave vs. fallback vs. flat engine
 # ----------------------------------------------------------------------
-def _run_isx(engine="objects"):
+def _isx_spmd(engine="objects", shmem=None):
     from repro.apps.isx import IsxConfig, isx_main, validate_isx
     from repro.bench.harness import cluster_for
     from repro.distrib import spmd_run
@@ -248,13 +344,21 @@ def _run_isx(engine="objects"):
     res = spmd_run(
         isx_main("flat", cfg),
         cluster_for("titan", 2, layout="flat"),
-        module_factories=[shmem_factory(direct=True)],
+        module_factories=[shmem or shmem_factory(direct=True)],
         executor=SimExecutor(engine=engine),
     )
     validate_isx(cfg, res.nranks, res.results)
+    return res
+
+
+def _outcome(res):
     digest = tuple(hashlib.sha256(np.asarray(r).tobytes()).hexdigest()
                    for r in res.results)
     return repr(res.makespan), digest
+
+
+def _run_isx(engine="objects"):
+    return _outcome(_isx_spmd(engine))
 
 
 class TestIsxWavePath:
@@ -280,6 +384,48 @@ class TestIsxWavePath:
 
     def test_flat_engine_matches_objects(self):
         assert _run_isx(engine="flat") == _run_isx(engine="objects")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_mux_fast_path_matches_retry_route(self, engine, monkeypatch):
+        """``FabricMux.transmit`` hands a send straight to the fabric when
+        its channel has no retry policy. A no-fault retry policy on the
+        ``shmem`` channel forces the kept ``_transmit_attempt`` route
+        instead; the two runs must agree bit for bit — makespan, results,
+        every merged counter and the message-size histograms."""
+        from repro.net.mux import FabricMux
+        from repro.resilience import RetryPolicy
+        from repro.shmem import ShmemModule, shmem_factory
+
+        class RetryingShmem(ShmemModule):
+            def initialize(self, runtime):
+                super().initialize(runtime)
+                self.backend.enable_retries(RetryPolicy())
+
+        attempts = {"n": 0}
+        orig = FabricMux._transmit_attempt
+
+        def counting(self, *a, **kw):
+            attempts["n"] += 1
+            return orig(self, *a, **kw)
+
+        monkeypatch.setattr(FabricMux, "_transmit_attempt", counting)
+        runs, routed = {}, {}
+        for route, factory in (
+                ("fast", shmem_factory(direct=True)),
+                ("retry", lambda ctx: RetryingShmem(ctx, direct=True))):
+            attempts["n"] = 0
+            res = _isx_spmd(engine, shmem=factory)
+            stats = res.merged_stats()
+            runs[route] = (
+                _outcome(res), dict(stats.counters),
+                {k: h.to_dict() for k, h in stats.histograms.items()
+                 if k[1] == "msg_size"},
+                res.executor.events_processed, res.fabric.messages_sent)
+            routed[route] = attempts["n"]
+        assert routed["fast"] == 0
+        assert routed["retry"] > 0, "retry route never taken"
+        assert runs["fast"][2], "no msg_size histograms recorded"
+        assert runs["fast"] == runs["retry"]
 
     def test_engine_differential_report_ok(self):
         """The CI gate's own checker at a reduced size (32 PEs here; CI runs
